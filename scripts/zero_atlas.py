@@ -12,7 +12,6 @@ import argparse
 import json
 
 import slicealg as sa
-from slicealg.slicefn import is_tame
 from slicealg.zeroset import full_zero_set, report_to_json, zero_survey
 
 GALLERY = [
@@ -36,10 +35,10 @@ def main():
     for alg_id, expr in GALLERY:
         alg = sa.make_builtin(alg_id)
         f = sa.parse_poly(expr, alg)
-        if is_tame(f):
+        try:
             rep = report_to_json(full_zero_set(f))
             tame = True
-        else:
+        except sa.NotTame:
             rep = zero_survey(f)
             tame = False
         if args.json:

@@ -9,12 +9,12 @@ from .algebra import (
 )
 from .complexify import ComplexifiedSpec, c_involution, complex_conj, complexify
 from .division import (
-    NonAssociativeAlgebra, NotTame, OnZeroSetOfNormal, Quotient,
-    product_pointwise, quotient_eval, reciprocal, reciprocal_eval, t_map,
+    NonAssociativeAlgebra, OnZeroSetOfNormal, Quotient, product_pointwise,
+    quotient_eval, reciprocal, reciprocal_eval, t_map,
 )
 from .parsing import ParseError, format_element, format_poly, parse_element, parse_poly
 from .slicefn import (
-    CallableStem, PolyStem, SliceFunction, binomial, constant, evaluate,
+    CallableStem, NotTame, PolyStem, SliceFunction, binomial, constant, evaluate,
     from_callable, is_slice_preserving, is_tame, normal, poly,
     product_eval_formula, regularity_residual, rep_two_points, slice_conjugate,
     slice_product, spherical_derivative, spherical_value, x_poly,

@@ -248,12 +248,6 @@ class AlgebraSpec:
                         return (i, j, k, "right")
         return None
 
-    def _assoc_basis(self, i, j, k):
-        out = [0] * self.dim
-        for n, c in self._assoc_basis_sparse(i, j, k).items():
-            out[n] = c
-        return out
-
     def _intersect_kernel(self, kernel, constraint):
         """Shrink a spanning set to the part annihilated by a linear map.
 
@@ -440,9 +434,6 @@ class Element:
             return all(c == 0 for c in self.coeffs[1:])
         t = tol or DEFAULT_TOL
         return all(abs(c) <= t for c in self.coeffs[1:])
-
-    def scalar_part(self):
-        return self.coeffs[0]
 
     def __repr__(self):
         from .parsing import format_element

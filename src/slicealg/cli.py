@@ -194,12 +194,12 @@ def run(args) -> tuple[int, str]:
         return (0, _dump({"value": out})) if args.json else (0, out)
 
     if verb == "zeros":
-        from .slicefn import is_tame
+        from .slicefn import NotTame
         from .zeroset import full_zero_set, report_to_json, zero_survey
         f = parse_poly(args.expr, alg, mode)
-        if is_tame(f, args.tol):
+        try:
             rep = report_to_json(full_zero_set(f, args.tol))
-        else:
+        except NotTame:
             rep = zero_survey(f, args.tol)
         if args.json:
             return 0, _dump(rep)

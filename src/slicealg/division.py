@@ -16,13 +16,10 @@ from fractions import Fraction
 from .algebra import (
     DEFAULT_TOL, AlgebraError, Element, NotInvertible, try_invert,
 )
-from .slicefn import (
-    SliceFunction, evaluate, is_tame, normal, slice_conjugate, slice_product,
+from .slicefn import (  # NotTame is re-exported for division callers
+    NotTame, SliceFunction, _tame_normal, evaluate, slice_conjugate,
+    slice_product,
 )
-
-
-class NotTame(AlgebraError):
-    pass
 
 
 class OnZeroSetOfNormal(AlgebraError):
@@ -52,9 +49,8 @@ class Quotient:
 
 
 def reciprocal(f: SliceFunction, tol=DEFAULT_TOL) -> Quotient:
-    if not is_tame(f, tol):
-        raise NotTame("reciprocal requires a tame slice function")
-    return Quotient(slice_conjugate(f), normal(f))
+    nf = _tame_normal(f, tol)
+    return Quotient(slice_conjugate(f), nf)
 
 
 def reciprocal_eval(f: SliceFunction, x: Element, tol=DEFAULT_TOL) -> Element:
@@ -69,10 +65,9 @@ def reciprocal_function(f: SliceFunction, tol=DEFAULT_TOL) -> SliceFunction:
     G1 = (n1 F1^c + n2 F2^c)/(n1^2 + n2^2) and G2 = (n1 F2^c - n2 F1^c)/(same);
     exact at rational stem arguments.
     """
-    if not is_tame(f, tol):
-        raise NotTame("reciprocal requires a tame slice function")
+    nf = _tame_normal(f, tol)
     from .slicefn import _as_stem_evaluator, from_callable
-    nf_ev = _as_stem_evaluator(normal(f))
+    nf_ev = _as_stem_evaluator(nf)
     fc_ev = _as_stem_evaluator(slice_conjugate(f))
 
     def ev(a, b):
@@ -100,8 +95,12 @@ def t_map(f: SliceFunction, x: Element, tol=DEFAULT_TOL) -> Element:
     """
     if not f.algebra.is_associative:
         raise NonAssociativeAlgebra("T_f is only defined on associative algebras")
-    if not is_tame(f, tol):
-        raise NotTame("T_f requires a tame slice function")
+    _tame_normal(f, tol)
+    return _t_map(f, x, tol)
+
+
+def _t_map(f, x, tol):
+    """T_f(x) for an f already known to be tame."""
     fcx = evaluate(slice_conjugate(f), x, tol)
     fcx_inv = try_invert(fcx, tol)
     if fcx_inv is None:
@@ -114,10 +113,10 @@ def quotient_eval(f: SliceFunction, g: SliceFunction, x: Element,
     """(f^{-.} . g)(x) = f(T_f(x))^{-1} g(T_f(x)) on associative algebras."""
     if not f.algebra.is_associative:
         raise NonAssociativeAlgebra("quotient formula needs an associative algebra")
-    nfx = evaluate(normal(f), x, tol)
-    if try_invert(nfx, tol) is None:
+    nf = _tame_normal(f, tol)
+    if try_invert(evaluate(nf, x, tol), tol) is None:
         raise OnZeroSetOfNormal(f"N(f) vanishes (or is singular) at {x!r}")
-    y = t_map(f, x, tol)
+    y = _t_map(f, x, tol)
     fy = evaluate(f, y, tol)
     fy_inv = try_invert(fy, tol)
     if fy_inv is None:
@@ -130,8 +129,7 @@ def product_pointwise(f: SliceFunction, g: SliceFunction, x: Element,
     """(f.g)(x) = f(x) g(f(x)^{-1} x f(x)) for tame f with f(x) invertible."""
     if not f.algebra.is_associative:
         raise NonAssociativeAlgebra("pointwise product formula needs associativity")
-    if not is_tame(f, tol):
-        raise NotTame("pointwise product formula requires tame f")
+    _tame_normal(f, tol)
     fx = evaluate(f, x, tol)
     fx_inv = try_invert(fx, tol)
     if fx_inv is None:

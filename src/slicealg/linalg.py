@@ -91,7 +91,3 @@ def in_span(vectors, target):
     cols = list(zip(*vectors))  # matrix with given vectors as columns
     a_rows = [list(c) for c in cols]
     return solve_affine(a_rows, list(target)) is not None
-
-
-def mat_vec(a_rows, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in a_rows]

@@ -44,9 +44,13 @@ def _tokenize(text, float_mode):
             if "." in val:
                 if not float_mode:
                     raise ParseError("decimal literals need float mode", m.start())
+                if "/" in val:
+                    raise ParseError("a decimal literal takes no denominator", m.start())
                 tokens.append(("num", float(val), m.start()))
             elif "/" in val:
                 a, b = val.split("/")
+                if int(b) == 0:
+                    raise ParseError("zero denominator", m.start())
                 tokens.append(("num", Fraction(int(a), int(b)), m.start()))
             else:
                 tokens.append(("num", Fraction(int(val)), m.start()))

@@ -1,6 +1,7 @@
 """Root finding for real-rational univariate polynomials.
 
-Exact factorization over Q (sympy) drives sphere extraction: linear factors
+One exact factorization over Q (sympy) yields both the sphere data and the
+complex roots (_spheres and _complex_roots take its factors): linear factors
 give exact real points, irreducible quadratics give exact sphere data
 (alpha, beta^2), and higher-degree irreducible factors fall back to
 companion-matrix eigenvalues with a grouping tolerance.
@@ -33,20 +34,30 @@ def _factor_rational(coeffs):
     return out
 
 
+def _trimmed(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def sphere_data_from_poly(coeffs):
     """Spheres (alpha, beta, beta_sq, multiplicity, exact) for a rational poly.
 
     coeffs are low-order-first Fractions.  beta_sq is exact whenever the factor
     is linear or quadratic; beta itself may be a float for irrational radii.
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _trimmed(coeffs)
     if not coeffs:
         raise ValueError("the zero polynomial has no root data")
+    return _spheres(_factor_rational(coeffs))
+
+
+def _spheres(factors):
+    """sphere_data_from_poly from the factors of the polynomial over Q."""
     from .algebra import exact_sqrt
     spheres = []
-    for monic, mult in _factor_rational(coeffs):
+    for monic, mult in factors:
         deg = len(monic) - 1
         if deg == 0:
             continue
@@ -99,12 +110,14 @@ def _companion_spheres(monic_high_to_low):
 
 def complex_roots(coeffs):
     """All complex roots (floats) with multiplicities, via exact factorization."""
+    return _complex_roots(_factor_rational(_trimmed(coeffs)))
+
+
+def _complex_roots(factors):
+    """complex_roots from the factors of the polynomial over Q."""
     import numpy as np
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
     out = []
-    for monic, mult in _factor_rational(coeffs):
+    for monic, mult in factors:
         if len(monic) == 1:
             continue
         for r in np.roots([float(c) for c in monic]):

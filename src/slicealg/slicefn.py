@@ -102,16 +102,10 @@ class CallableStem:
             self._check_symmetry(tol)
 
     def _check_symmetry(self, tol):
-        import random
-        rng = random.Random(0)
-        checked = 0
-        for _ in range(self.GRID_POINTS * 4):
-            if checked >= self.GRID_POINTS:
-                break
-            a = Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
-            b = Fraction(rng.randint(1, 8), rng.choice([1, 2]))
-            if not (self.domain(a, b) and self.domain(a, -b)):
-                continue
+        def both_signs(a, b):
+            return self.domain(a, b) and self.domain(a, -b)
+
+        for a, b in _sample_grid(both_signs, self.GRID_POINTS):
             f1p, f2p = self.evaluator(a, b)
             f1m, f2m = self.evaluator(a, -b)
             ok1 = (f1p - f1m).is_zero(tol)
@@ -119,7 +113,6 @@ class CallableStem:
             if not (ok1 and ok2):
                 raise AlgebraError("callable stem violates the stem symmetry "
                                    f"F(conj z) = conj F(z) at ({a}, {b})")
-            checked += 1
 
 
 class SliceFunction:
@@ -497,7 +490,7 @@ def is_slice_preserving(f: SliceFunction, tol=DEFAULT_TOL) -> bool:
     if f.is_poly:
         return all(a.is_real(tol if f.stem.mode == FLOAT else 0.0)
                    for a in f.stem.coeffs)
-    for a, b in _sample_grid(f):
+    for a, b in _sample_grid(f.stem.domain):
         f1, f2 = f.stem.evaluator(a, b)
         t = tol if f1.mode == FLOAT else 0.0
         if not (f1.is_real(t) and f2.is_real(t)):
@@ -505,42 +498,58 @@ def is_slice_preserving(f: SliceFunction, tol=DEFAULT_TOL) -> bool:
     return True
 
 
-def is_tame(f: SliceFunction, tol=DEFAULT_TOL) -> bool:
-    """N(f) slice preserving and equal to N(f^c).
+class NotTame(AlgebraError):
+    pass
 
-    Exact and coefficientwise for polynomial stems; for callable stems the
-    verdict is heuristic (checked on the deterministic sample grid).
+
+def _tame_normal(f: SliceFunction, tol=DEFAULT_TOL) -> SliceFunction:
+    """N(f) if f is tame (N(f) slice preserving and equal to N(f^c)), else NotTame.
+
+    The one place that builds N(f) and N(f^c) and decides tameness.  Exact
+    and coefficientwise for polynomial stems; for callable stems the verdict
+    is heuristic (checked on the deterministic sample grid).
     """
     nf = normal(f)
     nfc = normal(slice_conjugate(f))
     if f.is_poly:
-        if not is_slice_preserving(nf):
-            return False
-        return nf == nfc
-    if not is_slice_preserving(nf, tol):
+        tame = is_slice_preserving(nf) and nf == nfc
+    else:
+        tame = is_slice_preserving(nf, tol) and all(
+            _same_values(nf.stem.evaluator(a, b), nfc.stem.evaluator(a, b), tol)
+            for a, b in _sample_grid(f.stem.domain))
+    if not tame:
+        raise NotTame("the slice function is not tame: N(f) must be slice "
+                      "preserving and equal to N(f^c)")
+    return nf
+
+
+def _same_values(p, q, tol):
+    t = tol if p[0].mode == FLOAT else 0.0
+    return (p[0] - q[0]).is_zero(t) and (p[1] - q[1]).is_zero(t)
+
+
+def is_tame(f: SliceFunction, tol=DEFAULT_TOL) -> bool:
+    """N(f) slice preserving and equal to N(f^c) (see _tame_normal)."""
+    try:
+        _tame_normal(f, tol)
+    except NotTame:
         return False
-    for a, b in _sample_grid(f):
-        p = nf.stem.evaluator(a, b)
-        q = nfc.stem.evaluator(a, b)
-        t = tol if p[0].mode == FLOAT else 0.0
-        if not ((p[0] - q[0]).is_zero(t) and (p[1] - q[1]).is_zero(t)):
-            return False
     return True
 
 
-def _sample_grid(f, n=64, seed=0):
+def _sample_grid(domain, n=64):
+    """Up to n stem arguments (alpha, beta > 0) inside domain, from a fixed draw."""
     import random
-    rng = random.Random(seed)
-    dom = f.stem.domain if not f.is_poly else (lambda a, b: True)
-    out = []
+    rng = random.Random(0)
+    found = 0
     for _ in range(n * 4):
-        if len(out) >= n:
-            break
+        if found >= n:
+            return
         a = Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
         b = Fraction(rng.randint(1, 8), rng.choice([1, 2]))
-        if dom(a, b):
-            out.append((a, b))
-    return out
+        if domain(a, b):
+            found += 1
+            yield a, b
 
 
 # -- representation formulas -------------------------------------------------------

@@ -1,5 +1,11 @@
 """Zero-set computation and classification for slice functions.
 
+full_zero_set computes each stage once: N(f) and N(f^c), tameness (else
+NotTame), one factorization of N(f) over Q giving both the candidate spheres
+and the complex roots, then one classifier per sphere.  The classifier's
+prefix (real point, float, f'_s = 0, f'_s invertible) is shared; only the
+exact singular-derivative branch is refined on SO and CL(0,3).
+
 On a sphere alpha + beta*S_A the values of f are a1 + I*a2 with a1 = v_s f,
 a2 = beta * f'_s, so zeros correspond to solutions of I*a2 = -a1 inside S_A.
 Substituting u = beta*I turns everything into data that only involves alpha
@@ -14,17 +20,17 @@ and 1 are resolved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, roots
 from .algebra import (
     DEFAULT_TOL, EXACT, FLOAT, AlgebraError, Element, cone_membership, conj,
     exact_sqrt, make_builtin, norm, trace, try_invert,
 )
-from .slicefn import (
-    SliceFunction, _as_float_element, evaluate, is_tame, normal,
-    slice_conjugate, slice_product, sphere_values,
+from .slicefn import (  # NotTame is re-exported for zero-set callers
+    NotTame, SliceFunction, _as_float_element, _tame_normal, evaluate,
+    normal, slice_conjugate, slice_product, sphere_values,
 )
 
 EMPTY = "Empty"
@@ -33,10 +39,6 @@ POINT_PAIR = "PointPair"
 AFFINE_SET = "AffineSet"
 FULL_SPHERE = "FullSphere"
 UNCLASSIFIED = "Unclassified"
-
-
-class NotTame(AlgebraError):
-    pass
 
 
 class NormalIdenticallyZero(AlgebraError):
@@ -109,47 +111,45 @@ class ZeroReport:
 
 def zeros_on_sphere(f: SliceFunction, s: SphereRef, tol=DEFAULT_TOL) -> SphereZeroClass:
     """Classify V(f) on the sphere s (exact when the sphere data is rational)."""
+    return _classify(f, s, tol, _generic_singular)
+
+
+def _classify(f, s, tol, singular):
+    """The one classifier: real point, float, ds = 0, ds invertible, singular ds.
+
+    Exact when the sphere data is rational and the stem exact.  singular is
+    the algebra's exact singular-derivative branch (see _singular_branch).
+    """
     exact = s.is_exact and (not f.is_poly or f.stem.mode == EXACT)
     if s.is_real_point:
-        return _classify_real_point(f, s.alpha, exact, tol)
-    if exact and f.is_poly:
-        vs, ds = sphere_values(f, Fraction(s.alpha), Fraction(s.beta_sq))
-        return _classify_exact(f, Fraction(s.alpha), Fraction(s.beta_sq), vs, ds, tol)
+        x = f.algebra.from_scalar(s.alpha if exact else float(s.alpha))
+        if evaluate(f, x, tol).is_zero(0.0 if exact else tol):
+            return SphereZeroClass(POINT, witnesses=(x,))
+        return SphereZeroClass(EMPTY)
+    vs = None
     if exact:
-        beta = exact_sqrt(Fraction(s.beta_sq))
-        if beta is not None:
-            vs, ds = sphere_values(f, Fraction(s.alpha), Fraction(s.beta_sq), beta)
-            if vs.mode == EXACT:
-                return _classify_exact(f, Fraction(s.alpha), Fraction(s.beta_sq),
-                                       vs, ds, tol)
-    return _classify_float(f, s, tol)
-
-
-def _classify_real_point(f, alpha, exact, tol):
-    alg = f.algebra
-    x = alg.from_scalar(alpha if exact else float(alpha))
-    val = evaluate(f, x, tol)
-    if val.is_zero(0.0 if exact else tol):
-        return SphereZeroClass(POINT, witnesses=(x,))
-    return SphereZeroClass(EMPTY)
-
-
-def _classify_exact(f, alpha, beta_sq, vs, ds, tol):
-    """Exact classification from the sphere data (vs, ds) at (alpha, beta^2)."""
-    alg = f.algebra
+        alpha, beta_sq = Fraction(s.alpha), Fraction(s.beta_sq)
+        beta = None if f.is_poly else exact_sqrt(beta_sq)
+        if f.is_poly or beta is not None:
+            vs, ds = sphere_values(f, alpha, beta_sq, beta)
+    if vs is None or vs.mode != EXACT:
+        return _classify_float(f, s, tol)
     if ds.is_zero():
-        if vs.is_zero():
-            return SphereZeroClass(FULL_SPHERE)
-        return SphereZeroClass(EMPTY)
+        return SphereZeroClass(FULL_SPHERE if vs.is_zero() else EMPTY)
     ds_inv = try_invert(ds)
-    if ds_inv is not None:
-        u = -(vs * ds_inv)
-        if _on_sphere_exact(u, beta_sq):
-            y = alg.from_scalar(alpha) + u
-            _assert_zero(f, y)
-            return SphereZeroClass(POINT, witnesses=(y,))
+    if ds_inv is None:
+        return singular(f, alpha, beta_sq, vs, ds, tol)
+    u = -(vs * ds_inv)
+    if not _on_sphere_exact(u, beta_sq):
         return SphereZeroClass(EMPTY)
-    # singular spherical derivative: solve u*ds = -vs with S_A constraints
+    y = f.algebra.from_scalar(alpha) + u
+    _assert_zero(f, y)
+    return SphereZeroClass(POINT, witnesses=(y,))
+
+
+def _generic_singular(f, alpha, beta_sq, vs, ds, tol):
+    """Singular spherical derivative: solve u*ds = -vs with S_A constraints."""
+    alg = f.algebra
     right_zd = bool(linalg.nullspace(alg.right_mult_matrix(ds)))
     cls = _affine_case(f, alg, alpha, beta_sq, vs, ds, tol)
     if not right_zd and cls.kind in (POINT_PAIR, AFFINE_SET):
@@ -305,7 +305,7 @@ def _solve_univariate(f, alg, alpha, p, v, constraints, tol):
         a = q.get((0, 0), Fraction(0))
         b = l[0] if l else Fraction(0)
         polys.append((a, b, c))
-    roots = None
+    common = None
     for a, b, c in polys:
         if a == 0 and b == 0:
             if c != 0:
@@ -323,17 +323,17 @@ def _solve_univariate(f, alg, alpha, p, v, constraints, tol):
                       ("irr", float((-b - float(disc) ** 0.5) / (2 * a)))}
             else:
                 rs = {Fraction(-b + sq, 2 * a), Fraction(-b - sq, 2 * a)}
-        roots = rs if roots is None else _intersect_roots(roots, rs)
-        if not roots:
+        common = rs if common is None else _intersect_roots(common, rs)
+        if not common:
             return SphereZeroClass(EMPTY)
-    if roots is None:
+    if common is None:
         # no effective constraint: the whole line solves the system
         base = alg.from_scalar(alpha) + alg.element(p)
         return SphereZeroClass(AFFINE_SET, witnesses=(base,), affine_base=base,
                                affine_directions=(alg.element(v),), affine_dim=1)
     witnesses = []
     caveats = []
-    for r in sorted(roots, key=_root_key):
+    for r in sorted(common, key=_root_key):
         if isinstance(r, tuple):  # irrational root held as float
             u = [float(a) + r[1] * float(b) for a, b in zip(p, v)]
             y = alg.from_scalar(float(alpha), FLOAT) + alg.element(u, FLOAT)
@@ -482,34 +482,21 @@ def so_sphere_structure(f: SliceFunction, s: SphereRef, tol=DEFAULT_TOL) -> Sphe
     one linear condition; the direction space is computed exactly.
     """
     _require_algebra(f, "so", "so_sphere_structure")
+    return classify_sphere(f, s, tol)
+
+
+def _so_singular(f, alpha, beta_sq, vs, ds, tol):
+    """Split-octonion refinement of the exact singular-derivative branch."""
     alg = f.algebra
-    caveats = []
-    if f.is_poly and not normal(f).stem.coeffs:
-        caveats.append("N(f) is identically zero: the zero set is not "
-                       "characterized by the normal function")
-    if s.is_real_point:
-        out = _classify_real_point(f, s.alpha, s.is_exact, tol)
-        return _with_caveats(out, caveats)
-    if not s.is_exact:
-        return _with_caveats(_classify_float(f, s, tol), caveats)
-    alpha, beta_sq = Fraction(s.alpha), Fraction(s.beta_sq)
-    vs, ds = sphere_values(f, alpha, beta_sq)
-    if ds.is_zero():
-        kind = FULL_SPHERE if vs.is_zero() else EMPTY
-        return _with_caveats(SphereZeroClass(kind), caveats)
     c, d = _split_octonion(ds)
-    n_std = _qdot(c, c) - _qdot(d, d)  # split-octonion norm is real
-    if n_std != 0:
-        out = _classify_exact(f, alpha, beta_sq, vs, ds, tol)
-        return _with_caveats(out, caveats)
     # zero divisor case: find one zero via the exact linear machinery
     sol = linalg.solve_affine(*_linear_system_for_sphere(alg, vs, ds))
     if sol is None:
-        return _with_caveats(SphereZeroClass(EMPTY), caveats)
+        return SphereZeroClass(EMPTY)
     p0, dirs = sol
     p0, dirs, status = _reduce_by_quadrics(alg, p0, dirs, beta_sq)
     if status == "empty":
-        return _with_caveats(SphereZeroClass(EMPTY), caveats)
+        return SphereZeroClass(EMPTY)
     if status != "clean":
         raise AlgebraError("split-octonion sphere system did not reduce to a flat")
     u0 = alg.element(p0)
@@ -537,18 +524,9 @@ def so_sphere_structure(f: SliceFunction, s: SphereRef, tol=DEFAULT_TOL) -> Sphe
         directions.append(_join_octonion(alg, a, b))
     for dvec in directions:
         _assert_zero(f, base + dvec)
-    return _with_caveats(SphereZeroClass(
+    return SphereZeroClass(
         AFFINE_SET, witnesses=(base,), affine_base=base,
-        affine_directions=tuple(directions), affine_dim=len(directions)), caveats)
-
-
-def _with_caveats(cls, extra):
-    if not extra:
-        return cls
-    return SphereZeroClass(cls.kind, cls.witnesses, cls.affine_base,
-                           cls.affine_directions, cls.affine_dim,
-                           cls.companion_witnesses,
-                           cls.caveats + tuple(extra))
+        affine_directions=tuple(directions), affine_dim=len(directions))
 
 
 _R2_INDICES = (0, 1, 2, 4)  # 1, e1, e2, e12 inside CL(0,3)
@@ -563,18 +541,12 @@ def r3_sphere_structure(f: SliceFunction, s: SphereRef, tol=DEFAULT_TOL) -> Sphe
     f^c on the same sphere are the h-conjugates of y^c, z^c.
     """
     _require_algebra(f, "cl-0-3", "r3_sphere_structure")
+    return classify_sphere(f, s, tol)
+
+
+def _r3_singular(f, alpha, beta_sq, vs, ds, tol):
+    """CL(0,3) refinement of the exact singular-derivative branch."""
     alg = f.algebra
-    if s.is_real_point:
-        return _classify_real_point(f, s.alpha, s.is_exact, tol)
-    if not s.is_exact:
-        return _classify_float(f, s, tol)
-    alpha, beta_sq = Fraction(s.alpha), Fraction(s.beta_sq)
-    vs, ds = sphere_values(f, alpha, beta_sq)
-    if ds.is_zero():
-        return SphereZeroClass(FULL_SPHERE if vs.is_zero() else EMPTY)
-    ds_inv = try_invert(ds)
-    if ds_inv is not None:
-        return _classify_exact(f, alpha, beta_sq, vs, ds, tol)
     e123 = alg.basis_element(7)
     half = Fraction(1, 2)
     p_plus = half * (alg.one() + e123)
@@ -583,7 +555,7 @@ def r3_sphere_structure(f: SliceFunction, s: SphereRef, tol=DEFAULT_TOL) -> Sphe
     if ds_plus.is_zero() == ds_minus.is_zero():
         raise AlgebraError("CL(0,3) spherical derivative is not of the "
                            "expected zero-divisor form")
-    det_idem, free_idem = (p_plus, p_minus) if ds_minus.is_zero() else (p_minus, p_plus)
+    free_idem = p_minus if ds_minus.is_zero() else p_plus
     sign = 1 if ds_minus.is_zero() else -1  # ds in (1 + sign*e123) R_2
     if not (vs * free_idem).is_zero():
         return SphereZeroClass(EMPTY)
@@ -631,60 +603,67 @@ def r3_sphere_structure(f: SliceFunction, s: SphereRef, tol=DEFAULT_TOL) -> Sphe
 
 
 def classify_sphere(f: SliceFunction, s: SphereRef, tol=DEFAULT_TOL) -> SphereZeroClass:
-    """Per-sphere classification, dispatching to the specialized routines."""
-    alg = f.algebra
+    """Per-sphere classification with the algebra's singular-derivative refinement."""
+    cls = _classify(f, s, tol, _singular_branch(f.algebra))
+    if f.algebra is make_builtin("so") and f.is_poly and not normal(f).stem.coeffs:
+        cls = replace(cls, caveats=cls.caveats + (_NORMAL_ZERO_CAVEAT,))
+    return cls
+
+
+_NORMAL_ZERO_CAVEAT = ("N(f) is identically zero: the zero set is not "
+                       "characterized by the normal function")
+
+
+def _singular_branch(alg):
+    """The exact singular-derivative branch for alg: a refinement or the generic one."""
     if alg is make_builtin("so"):
-        return so_sphere_structure(f, s, tol)
+        return _so_singular
     if alg is make_builtin("cl-0-3"):
-        return r3_sphere_structure(f, s, tol)
-    return zeros_on_sphere(f, s, tol)
+        return _r3_singular
+    return _generic_singular
 
 
 # -- candidate spheres and full zero sets -------------------------------------------
 
 
+def _normal_factors(f, tol):
+    """(N(f), its factors over Q) for a tame polynomial; None factors if N(f) = 0."""
+    if not f.is_poly:
+        raise AlgebraError("zero sets require a polynomial stem")
+    nf = _tame_normal(f, tol)
+    coeffs = roots._trimmed(a.coeffs[0] for a in nf.stem.coeffs)
+    return nf, roots._factor_rational(coeffs) if coeffs else None
+
+
+def _sphere_refs(factors):
+    return [(SphereRef(alpha, beta, beta_sq), mult)
+            for alpha, beta, beta_sq, mult, _ in roots._spheres(factors)]
+
+
 def candidate_spheres(f: SliceFunction, tol=DEFAULT_TOL):
     """Spheres that can meet V(f), from the roots of N(f), with multiplicities."""
-    if not f.is_poly:
-        raise AlgebraError("candidate spheres require a polynomial stem")
-    if not is_tame(f, tol):
-        raise NotTame("candidate spheres require a tame function")
-    nf = normal(f)
-    if not nf.stem.coeffs:
+    _, factors = _normal_factors(f, tol)
+    if factors is None:
         raise NormalIdenticallyZero("N(f) vanishes identically")
-    coeffs = [Fraction(a.coeffs[0]) if a.mode == EXACT else a.coeffs[0]
-              for a in nf.stem.coeffs]
-    from .roots import sphere_data_from_poly
-    out = []
-    for alpha, beta, beta_sq, mult, exact in sphere_data_from_poly(coeffs):
-        out.append((SphereRef(alpha, beta, beta_sq), mult))
-    return out
+    return _sphere_refs(factors)
 
 
 def full_zero_set(f: SliceFunction, tol=DEFAULT_TOL) -> ZeroReport:
     """Zero-set report for a tame polynomial: candidate spheres + classification."""
-    if not f.is_poly:
-        raise AlgebraError("full zero set requires a polynomial stem")
-    if not is_tame(f, tol):
-        raise NotTame("full zero set requires a tame function")
-    nf = normal(f)
-    ncoeffs = tuple(a for a in nf.stem.coeffs)
-    if not ncoeffs:
-        return ZeroReport(
-            function=f, normal_coeffs=(), spheres=(), normal_roots=(),
-            caveats=("N(f) is identically zero: the zero set is not "
-                     "characterized by the normal function",))
-    from .roots import complex_roots
-    scalar_coeffs = [Fraction(a.coeffs[0]) for a in ncoeffs] \
-        if nf.stem.mode == EXACT else [a.coeffs[0] for a in ncoeffs]
+    nf, factors = _normal_factors(f, tol)
+    if factors is None:
+        return ZeroReport(function=f, normal_coeffs=(), spheres=(),
+                          normal_roots=(), caveats=(_NORMAL_ZERO_CAVEAT,))
+    singular = _singular_branch(f.algebra)  # N(f) != 0: no SO caveat check
     spheres = []
     caveats = []
-    for ref, mult in candidate_spheres(f, tol):
-        cls = classify_sphere(f, ref, tol)
+    for ref, mult in _sphere_refs(factors):
+        cls = _classify(f, ref, tol, singular)
         caveats.extend(cls.caveats)
         spheres.append((ref, mult, cls))
-    return ZeroReport(function=f, normal_coeffs=ncoeffs, spheres=tuple(spheres),
-                      normal_roots=tuple(complex_roots(scalar_coeffs)),
+    return ZeroReport(function=f, normal_coeffs=nf.stem.coeffs,
+                      spheres=tuple(spheres),
+                      normal_roots=tuple(roots._complex_roots(factors)),
                       caveats=tuple(dict.fromkeys(caveats)))
 
 
@@ -696,7 +675,6 @@ def zero_survey(f: SliceFunction, tol=DEFAULT_TOL) -> dict:
     witness is sound, but spheres outside the candidate set are not excluded.
     """
     from .parsing import format_element, format_poly, format_scalar
-    from .roots import sphere_data_from_poly
     if not f.is_poly:
         raise AlgebraError("the sphere survey requires a polynomial stem")
     cands = {}
@@ -714,7 +692,7 @@ def zero_survey(f: SliceFunction, tol=DEFAULT_TOL) -> dict:
             seen_any = True
             if len(pc) == 1:
                 continue  # nonzero constant component: no roots
-            for alpha, beta, beta_sq, mult, exact in sphere_data_from_poly(pc):
+            for alpha, beta, beta_sq, mult, exact in roots.sphere_data_from_poly(pc):
                 key = (str(alpha), str(beta_sq))
                 cands.setdefault(key, SphereRef(alpha, beta, beta_sq))
     spheres = []
@@ -781,11 +759,10 @@ def product_zero_predict(f: SliceFunction, g: SliceFunction, s: SphereRef,
         zero_tol = 0.0 if s.is_exact else tol
         if fv.is_zero(zero_tol) or gv.is_zero(zero_tol):
             return report(SphereZeroClass(POINT, witnesses=(x,)), "real-point")
-        if f.is_poly and g.is_poly and is_tame(f, tol) and is_tame(g, tol):
-            nfv = evaluate(normal(f), x, tol)
-            ngv = evaluate(normal(g), x, tol)
-            if not nfv.is_zero(zero_tol) and not ngv.is_zero(zero_tol):
-                return report(SphereZeroClass(EMPTY), "real-point-normal")
+        normals = _tame_normal_pair(f, g, tol)
+        if normals is not None and not any(
+                evaluate(n, x, tol).is_zero(zero_tol) for n in normals):
+            return report(SphereZeroClass(EMPTY), "real-point-normal")
         return unclassified("no rule for a real point with nonvanishing factors")
 
     sf = classify_sphere(f, s, tol)
@@ -824,11 +801,10 @@ def product_zero_predict(f: SliceFunction, g: SliceFunction, s: SphereRef,
             return report(SphereZeroClass(POINT, witnesses=(y,)), "associative-4b")
         # both empty: fall through to the tame rule below
     if y is None and z is None:
-        if f.is_poly and g.is_poly and is_tame(f, tol) and is_tame(g, tol):
-            nf_on = _normal_vanishes_on_sphere(f, alpha, beta_sq)
-            ng_on = _normal_vanishes_on_sphere(g, alpha, beta_sq)
-            if not nf_on and not ng_on:
-                return report(SphereZeroClass(EMPTY), "tame-normal")
+        normals = _tame_normal_pair(f, g, tol)
+        if normals is not None and not any(
+                _vanishes_on_sphere(n, alpha, beta_sq) for n in normals):
+            return report(SphereZeroClass(EMPTY), "tame-normal")
         return unclassified("no rule: both factors nonvanishing and normals "
                             "do not separate the sphere")
 
@@ -862,8 +838,18 @@ def product_zero_predict(f: SliceFunction, g: SliceFunction, s: SphereRef,
     return report(predicted, case, witness=w, inclusion=True)
 
 
-def _normal_vanishes_on_sphere(f, alpha, beta_sq):
-    vs, ds = sphere_values(normal(f), alpha, beta_sq)
+def _tame_normal_pair(f, g, tol):
+    """(N(f), N(g)) when f and g are tame polynomials, else None."""
+    if not (f.is_poly and g.is_poly):
+        return None
+    try:
+        return _tame_normal(f, tol), _tame_normal(g, tol)
+    except NotTame:
+        return None
+
+
+def _vanishes_on_sphere(g, alpha, beta_sq):
+    vs, ds = sphere_values(g, alpha, beta_sq)
     return vs.is_zero() and ds.is_zero()
 
 

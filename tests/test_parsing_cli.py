@@ -212,3 +212,21 @@ class TestCLI:
         assert code == 0
         data = json.loads(out)
         assert data["spheres"][0]["kind"] == "Point"
+
+    def test_zero_denominator_exit_2(self, capsys):
+        code, _, err = self.run(capsys, "eval", "--algebra", "H", "1/0",
+                                "--at", "i")
+        assert code == 2 and err.startswith("parse error:")
+        assert len(err.strip().splitlines()) == 1
+        with pytest.raises(ParseError) as exc:
+            parse_element("i+3/0", H)
+        assert exc.value.position == 2
+        code, _, err = self.run(capsys, "eval", "--algebra", "H", "1.5/2",
+                                "--at", "1", "--float")
+        assert code == 2 and err.startswith("parse error:")
+
+    def test_zeros_float_so_witness(self, capsys):
+        code, out, _ = self.run(capsys, "zeros", "--algebra", "SO", "x-i",
+                                "--float")
+        assert code == 0
+        assert "sphere (0, 1): Point witnesses: i" in out

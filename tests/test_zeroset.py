@@ -717,3 +717,102 @@ class TestPlantedZeros:
             for w in witnesses:
                 assert sa.evaluate(f, w).is_zero()
             done += 1
+
+
+def _as_float_poly(f):
+    return sa.poly(f.algebra, [f.algebra.element([float(c) for c in a.coeffs], sa.FLOAT)
+                               for a in f.stem.coeffs], sa.FLOAT)
+
+
+class TestFloatExactAgreement:
+    def test_so_float_point(self):
+        f = sa.parse_poly("x-i", SO, sa.FLOAT)
+        [(ref, mult, cls)] = sa.full_zero_set(f).spheres
+        assert (ref.alpha, ref.beta, mult) == (0, 1, 1)
+        assert cls.kind == POINT
+        assert sa.evaluate(f, cls.witnesses[0]).is_zero(1e-9)
+
+    def test_r3_float_zero_divisor_derivative(self):
+        f = sa.parse_poly("(x-e1)*(1-e123)", R3, sa.FLOAT)
+        cls = classify_sphere(f, S01)
+        assert cls == sa.zeros_on_sphere(f, S01)
+        assert cls.kind == AFFINE_SET
+        assert any("float-mode" in c for c in cls.caveats)
+
+    @pytest.mark.parametrize("alg", [H, O, SO, R3], ids=lambda a: a.name)
+    def test_invertible_derivative_kinds(self, alg):
+        from slicealg.slicefn import sphere_values
+        rng = random.Random(41)
+        kinds = set()
+        for _ in range(8):
+            f = random_tame_poly(alg, rng, max_degree=3)
+            if not sa.normal(f).stem.coeffs:
+                continue
+            ff = _as_float_poly(f)
+            for ref, _ in sa.candidate_spheres(f):
+                if not ref.is_exact or ref.is_real_point:
+                    continue
+                _, ds = sphere_values(f, ref.alpha, ref.beta_sq)
+                if sa.try_invert(ds) is None:
+                    continue
+                exact = classify_sphere(f, ref)
+                approx = classify_sphere(ff, ref)
+                assert approx.kind == exact.kind, (f, ref)
+                if exact.kind == POINT:
+                    [w] = approx.witnesses
+                    assert w.mode == sa.FLOAT
+                    assert all(abs(float(a) - b) < 1e-7 for a, b in
+                               zip(exact.witnesses[0].coeffs, w.coeffs))
+                kinds.add(exact.kind)
+        assert POINT in kinds
+
+
+class TestOneNotTame:
+    def test_single_class(self):
+        from slicealg import division, slicefn, zeroset
+        assert division.NotTame is zeroset.NotTame is slicefn.NotTame is sa.NotTame
+
+    def test_top_level_class_catches_zero_set_errors(self):
+        f = sa.parse_poly("(x-e4)*(1+e123)", R4)
+        for fn in (sa.full_zero_set, sa.candidate_spheres):
+            try:
+                fn(f)
+            except sa.NotTame:
+                continue
+            pytest.fail(f"{fn.__name__} accepted a function that is not tame")
+
+
+class TestComputeOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from slicealg import roots, slicefn
+        counts = {"normal_products": 0, "factorizations": 0}
+        product, factor = slicefn.slice_product, roots._factor_rational
+
+        def counting_product(f, g):
+            counts["normal_products"] += 1
+            return product(f, g)
+
+        def counting_factor(coeffs):
+            counts["factorizations"] += 1
+            return factor(coeffs)
+
+        # normal() looks slice_product up in slicefn, so every N(f) built
+        # anywhere is counted; the zero-set code makes no other slice product
+        monkeypatch.setattr(slicefn, "slice_product", counting_product)
+        monkeypatch.setattr(roots, "_factor_rational", counting_factor)
+        return counts
+
+    def test_full_zero_set(self, calls):
+        f = sa.parse_poly("(x-i)*(x-2*j)*(x-1)", SO)
+        rep = sa.full_zero_set(f)
+        assert len(rep.spheres) == 3
+        assert calls == {"normal_products": 2, "factorizations": 1}
+
+    def test_t_map_and_quotient(self, calls):
+        f = sa.parse_poly("(x-i)*(x-j+k)", H)
+        x = H.element([1, 0, 2, 0])
+        sa.t_map(f, x)
+        assert calls["normal_products"] == 2
+        sa.quotient_eval(f, f, x)
+        assert calls["normal_products"] == 4
